@@ -212,7 +212,7 @@ BENCHMARK(BM_NetIngestUds)->Arg(1)->Arg(4)
 
 // The acceptance column: loopback TCP with durability all the way on —
 // EpochManager epochs checkpointed through a CheckpointStore in
-// SyncMode::kFull with group commit, an fsync'd snapshot every 2^15
+// SyncMode::kFull, an fsync'd snapshot every 2^15
 // reports plus the final Close. sink_threads = 1 because EpochManager's
 // control surface is single-threaded.
 void BM_NetIngestDurable(benchmark::State& state) {
@@ -225,7 +225,6 @@ void BM_NetIngestDurable(benchmark::State& state) {
     fs::remove_all(dir);
     CheckpointStoreOptions store_opts;
     store_opts.sync_mode = SyncMode::kFull;
-    store_opts.group_commit = true;
     auto store_or = CheckpointStore::Open(dir, store_opts);
     if (!store_or.ok()) {
       state.SkipWithError("store open failed");

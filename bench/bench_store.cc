@@ -8,10 +8,9 @@
 // MB/s = bytes_per_second), BM_StoreRecovery (replayed epochs/s), and
 // BM_StoreCompaction (consolidated MB/s). BM_StorePut runs one column per
 // SyncMode (none/data/full) so the fsync cost of power-loss durability is
-// on the record — see docs/storage.md for reference numbers. The
-// multi-writer columns (BM_StorePutMultiWriter / BM_StorePutGroupCommit)
-// measure N concurrent acknowledged-durable writers with the group-commit
-// lane off vs on; the group column's syncs_per_put counter is the
+// on the record — see docs/storage.md for reference numbers.
+// BM_StorePutGroupCommit measures 1 and 8 concurrent acknowledged-durable
+// writers through the group-commit lane; its syncs_per_put counter is the
 // coalescing ratio (group commits per acked intent). The replica
 // columns (BM_ReplicaTailCatchup / BM_ReplicaIdlePoll / BM_ReplicaGet)
 // measure the read-only follower: tail-lag absorption per poll, the idle
@@ -99,23 +98,20 @@ BENCHMARK(BM_StorePut)
 
 // Concurrent acknowledged-durable writers against one store, kFull @1 KB —
 // the group-commit lane's reason to exist. Every thread's Put must be
-// durable on return; with the lane off each Put pays its own fsync, with it
-// on the queue leader coalesces every waiting writer into one append + one
-// sync. syncs_per_put (group commits / acked intents, from the store's own
-// counters) is the coalescing evidence: <0.3 at 8 writers means groups
-// average more than 3 intents. The single-writer lane-on state is pinned
-// bit-for-bit by tests/group_commit_test.cc, so only the multi-writer
-// columns run with the lane enabled here.
+// durable on return; the queue leader coalesces every waiting writer into
+// one append + one sync, and a lone writer is a group of one (one fsync per
+// Put — the threads:1 column). syncs_per_put (group commits / acked
+// intents, from the store's own counters) is the coalescing evidence: <0.3
+// at 8 writers means groups average more than 3 intents.
 std::unique_ptr<CheckpointStore> shared_put_store;
 std::string shared_put_dir;
 
-void RunStorePutConcurrent(benchmark::State& state, bool group_commit) {
+void BM_StorePutGroupCommit(benchmark::State& state) {
   constexpr size_t kBlob = 1 << 10;
   if (state.thread_index() == 0) {
-    shared_put_dir = BenchDir(group_commit ? "put_group" : "put_mt");
+    shared_put_dir = BenchDir("put_group");
     fs::remove_all(shared_put_dir);
-    CheckpointStoreOptions options = BenchOptions(SyncMode::kFull);
-    options.group_commit = group_commit;
+    const CheckpointStoreOptions options = BenchOptions(SyncMode::kFull);
     shared_put_store =
         std::move(CheckpointStore::Open(shared_put_dir, options)).value();
   }
@@ -133,34 +129,18 @@ void RunStorePutConcurrent(benchmark::State& state, bool group_commit) {
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kBlob));
-  state.SetLabel(std::string("sync=full group=") +
-                 (group_commit ? "on" : "off"));
+  state.SetLabel("sync=full");
   if (state.thread_index() == 0) {
     const CheckpointStoreStats stats = shared_put_store->Stats();
     state.counters["syncs_per_put"] =
-        group_commit
-            ? static_cast<double>(stats.group_commits) /
-                  std::max<double>(
-                      1.0, static_cast<double>(stats.group_commit_writes))
-            : 1.0;
+        static_cast<double>(stats.group_commits) /
+        std::max<double>(1.0, static_cast<double>(stats.group_commit_writes));
     shared_put_store.reset();
     fs::remove_all(shared_put_dir);
   }
 }
-
-void BM_StorePutMultiWriter(benchmark::State& state) {
-  RunStorePutConcurrent(state, /*group_commit=*/false);
-}
-BENCHMARK(BM_StorePutMultiWriter)
-    ->Threads(1)->Threads(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_StorePutGroupCommit(benchmark::State& state) {
-  RunStorePutConcurrent(state, /*group_commit=*/true);
-}
 BENCHMARK(BM_StorePutGroupCommit)
-    ->Threads(8)
+    ->Threads(1)->Threads(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -6,13 +6,14 @@
 // from that one string. Each client privatizes its value locally and ships
 // the report in the compact wire format, stamped with the protocol's wire
 // id; the ingestion service rejects batches for the wrong protocol at
-// decode time, fans accepted reports out across worker shards, and
-// periodically checkpoints every shard's state — with the config embedded,
-// so the log is self-describing — to an append-only CRC-guarded log.
-// Mid-stream, this demo kills the service outright and recovers from the
-// checkpoint, replaying only the reports that arrived after it: the final
-// estimates are bit-for-bit what a single-threaded, crash-free server would
-// have produced.
+// decode time, fans accepted reports out across worker shards, and closes
+// fixed-size epochs, each persisted — merged state plus the embedded
+// config, so every record is self-describing — into the durable segment
+// store. Mid-stream, this demo closes an epoch, kills the service and the
+// store outright, reopens the store, and resumes at the next epoch,
+// replaying only the reports that arrived after that close: a windowed
+// query over every epoch is bit-for-bit what a single-threaded, crash-free
+// server would have produced.
 //
 // With `--admin-port=N` the demo also starts the live admin plane on
 // 127.0.0.1:N (0 = pick a free port) and, after the verification phase,
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -117,6 +119,7 @@ int main(int argc, char** argv) {
       ProtocolRegistry::Global().WireIdOf(config.protocol()).value();
   Rng rng(7);
   std::vector<std::string> wire_batches;
+  std::vector<uint64_t> batch_reports;  // Reports per framed batch.
   {
     std::vector<WireReport> batch;
     batch.reserve(1 << 16);
@@ -128,6 +131,7 @@ int main(int argc, char** argv) {
       batch.push_back(report_or.value());
       if (batch.size() == (1 << 16) || i + 1 == n) {
         wire_batches.push_back(EncodeReportBatch(batch, wire_id));
+        batch_reports.push_back(batch.size());
         batch.clear();
       }
     }
@@ -138,17 +142,24 @@ int main(int argc, char** argv) {
               wire_batches.size(), static_cast<double>(wire_bytes) / (1 << 20),
               static_cast<double>(wire_bytes) / static_cast<double>(n));
 
-  const std::string ckpt_path = "/tmp/ldphh_sharded_telemetry.ckpt";
-  std::remove(ckpt_path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = kShards;
-  opts.queue_capacity = 1 << 14;
-  opts.batch_size = 512;
+  const std::string store_dir = "/tmp/ldphh_sharded_telemetry_store";
+  std::filesystem::remove_all(store_dir);
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 1 << 18;
+  opts.aggregator.num_shards = kShards;
+  opts.aggregator.queue_capacity = 1 << 14;
+  opts.aggregator.batch_size = 512;
+  const auto open_store = [&] {
+    return CheckpointStore::Open(store_dir, CheckpointStoreOptions{});
+  };
 
-  // --- phase 1: the service ingests 60% of the traffic, checkpoints, dies -
+  // --- phase 1: ingest 60% of the traffic, close an epoch, then die -------
   const size_t cut = wire_batches.size() * 6 / 10;
   {
-    auto service_or = ShardedAggregator::Create(config, opts);
+    auto store_or = open_store();
+    if (!store_or.ok()) return 1;
+    auto store = std::move(store_or).value();
+    auto service_or = EpochManager::Create(config, store.get(), opts);
     if (!service_or.ok()) return 1;
     auto service = std::move(service_or).value();
     if (!service->Start().ok()) return 1;
@@ -163,42 +174,45 @@ int main(int argc, char** argv) {
                 bounced.ToString().c_str());
 
     Timer t;
+    uint64_t submitted = 0;
     for (size_t b = 0; b < cut; ++b) {
       if (!service->SubmitWire(wire_batches[b]).ok()) return 1;
+      submitted += batch_reports[b];
     }
-    if (!service->Drain().ok()) return 1;
-    const IngestStats stats = service->Stats();
-    std::printf("phase 1: ingested %llu reports on %d shards (%.2fM reports/s)\n",
-                static_cast<unsigned long long>(stats.submitted), kShards,
-                static_cast<double>(stats.submitted) / t.Seconds() / 1e6);
-    CheckpointWriter log;
-    if (!log.Open(ckpt_path).ok()) return 1;
-    if (!service->WriteCheckpoint(log).ok()) return 1;
-    std::printf("phase 1: self-describing checkpoint written, then the "
-                "server crashes.\n");
-    // `service` is destroyed here with all in-memory state lost.
+    if (!service->CloseEpoch().ok()) return 1;
+    std::printf("phase 1: ingested %llu reports on %d shards (%.2fM "
+                "reports/s), epochs 0..%llu closed durably; then the server "
+                "and its store crash.\n",
+                static_cast<unsigned long long>(submitted), kShards,
+                static_cast<double>(submitted) / t.Seconds() / 1e6,
+                static_cast<unsigned long long>(service->current_epoch() - 1));
+    // `service` and `store` are destroyed here with all in-memory state lost.
   }
 
-  // --- phase 2: recover from the log and ingest the remaining traffic -----
+  // --- phase 2: reopen the store, resume, ingest the remaining traffic ----
   {
-    auto service_or = ShardedAggregator::Create(config, opts);
+    auto store_or = open_store();
+    if (!store_or.ok()) return 1;
+    auto store = std::move(store_or).value();
+    auto service_or = EpochManager::Create(config, store.get(), opts);
     if (!service_or.ok()) return 1;
     auto service = std::move(service_or).value();
-    CheckpointReader log;
-    if (!log.Open(ckpt_path).ok()) return 1;
-    const Status restored = service->RestoreCheckpoint(log);
-    if (!restored.ok()) {
-      std::printf("recovery failed: %s\n", restored.ToString().c_str());
-      return 1;
-    }
-    std::printf("phase 2: recovered %llu reports from the checkpoint\n",
-                static_cast<unsigned long long>(service->Stats().restored));
     if (!service->Start().ok()) return 1;
+    std::printf("phase 2: reopened the store with %zu closed epochs; "
+                "resuming at epoch %llu\n",
+                service->PersistedEpochs().size(),
+                static_cast<unsigned long long>(service->current_epoch()));
     for (size_t b = cut; b < wire_batches.size(); ++b) {
       if (!service->SubmitWire(wire_batches[b]).ok()) return 1;
     }
-    auto merged_or = service->Finish();
-    if (!merged_or.ok()) return 1;
+    if (!service->Close().ok()) return 1;
+    const uint64_t last_epoch = service->PersistedEpochs().back();
+    auto merged_or = service->WindowedQuery(0, last_epoch);
+    if (!merged_or.ok()) {
+      std::printf("windowed query failed: %s\n",
+                  merged_or.status().ToString().c_str());
+      return 1;
+    }
     auto merged = std::move(merged_or).value();
 
     // --- compare against a crash-free single-threaded server --------------
@@ -225,12 +239,14 @@ int main(int argc, char** argv) {
     }
     std::printf("estimate for the planted value 42: %.0f (true %.0f)\n",
                 EstimateOf(got, 42), 0.25 * static_cast<double>(n));
-    std::printf("sharded+recovered == sequential baseline: %s\n",
+    std::printf("epochs 0..%llu window after the crash == sequential "
+                "baseline: %s\n",
+                static_cast<unsigned long long>(last_epoch),
                 identical ? "bit-for-bit identical" : "MISMATCH");
 
     // Keep the admin plane up while the service and its instruments are
-    // still live, so scrapes see the full run (queue gauges, span samples,
-    // ingest statusz). Ctrl-C or SIGTERM ends the linger early.
+    // still live, so scrapes see the full run (span samples, the epoch and
+    // store statusz sections). Ctrl-C or SIGTERM ends the linger early.
     if (admin != nullptr) {
       const int linger = serve_seconds >= 0 ? serve_seconds : 60;
       std::printf("serving admin plane for up to %d s "
@@ -241,13 +257,16 @@ int main(int argc, char** argv) {
     }
 
     // Everything above left a metrics trail: ingest counters and latencies,
-    // fsync distributions, the privacy budget actually spent. One dump
+    // epoch closes, store puts and fsync distributions, the privacy budget
+    // actually spent. One dump
     // shows it all — the same text a scrape endpoint would serve.
     std::printf("\n--- metrics (MetricsRegistry DumpText) ---\n%s",
                 obs::MetricsRegistry::Global().DumpText().c_str());
     std::printf("\n--- trace (last structural events) ---\n%s",
                 obs::TraceRing::Global().DumpText().c_str());
-    std::remove(ckpt_path.c_str());
+    service.reset();
+    store.reset();
+    std::filesystem::remove_all(store_dir);
     return identical ? 0 : 1;
   }
 }

@@ -13,7 +13,10 @@
 ///    `MaxInformationBound`, `ShellComposedRR`, `GenProt`,
 ///    `RunLowerBoundExperiment`.
 ///
-/// See README.md for a quickstart and DESIGN.md for the system inventory.
+/// docs/ holds the system guides: protocols.md (the registry and every
+/// served protocol), server.md (sharded ingest, epochs, the network front
+/// end), storage.md (the durable store and its replicas), observability.md
+/// and static_analysis.md; examples/ holds runnable programs.
 
 #ifndef LDPHH_CORE_LDPHH_H_
 #define LDPHH_CORE_LDPHH_H_

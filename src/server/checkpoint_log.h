@@ -1,8 +1,8 @@
 /// \file checkpoint_log.h
 /// \brief Append-only checkpoint log with CRC-guarded records.
 ///
-/// The leveldb log-format idiom, simplified to whole records (aggregator
-/// state snapshots are small enough not to need block fragmentation):
+/// The leveldb log-format idiom, simplified to whole records (no block
+/// fragmentation):
 ///
 ///   record := masked_crc32c(u32, over type+payload) length(u32) type(u8)
 ///             payload(length bytes)
@@ -32,11 +32,10 @@
 
 namespace ldphh {
 
-/// Record type tags; the log itself is type-agnostic.
+/// Record type tags; the log itself is type-agnostic. Subsystems define
+/// their tags from kCustom up (the store's are in src/store/store_format.h).
 enum class CheckpointRecordType : uint8_t {
-  kManifest = 1,    ///< Aggregator-level metadata.
-  kShardState = 2,  ///< One shard's serialized oracle state.
-  kCustom = 128,    ///< First tag free for other subsystems.
+  kCustom = 128,  ///< First tag free for other subsystems.
 };
 
 /// Fixed byte size of the per-record header.

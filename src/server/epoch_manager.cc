@@ -7,16 +7,12 @@
 #include "src/common/timer.h"
 #include "src/obs/trace.h"
 #include "src/protocols/registry.h"
-#include "src/server/report_codec.h"
 
 namespace ldphh {
 
-EpochManager::EpochManager(ProtocolConfig config, uint16_t wire_id,
-                           CheckpointStore* store, EpochManagerOptions options)
-    : config_(std::move(config)),
-      wire_id_(wire_id),
-      store_(store),
-      options_(options) {
+EpochManager::EpochManager(ProtocolConfig config, CheckpointStore* store,
+                           EpochManagerOptions options)
+    : config_(std::move(config)), store_(store), options_(options) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   epoch_close_ns_ = reg.NewHistogram(
       "ldphh_epoch_close_duration_ns",
@@ -66,10 +62,8 @@ StatusOr<std::unique_ptr<EpochManager>> EpochManager::Create(
   auto probe_or = CreateAggregator(config);
   LDPHH_RETURN_IF_ERROR(probe_or.status());
   ProtocolConfig resolved = probe_or.value()->config();
-  auto wire_id_or = ProtocolRegistry::Global().WireIdOf(resolved.protocol());
-  LDPHH_RETURN_IF_ERROR(wire_id_or.status());
-  return std::unique_ptr<EpochManager>(new EpochManager(
-      std::move(resolved), wire_id_or.value(), store, options));
+  return std::unique_ptr<EpochManager>(
+      new EpochManager(std::move(resolved), store, options));
 }
 
 EpochManager::~EpochManager() = default;
@@ -148,9 +142,16 @@ StatusOr<bool> EpochManager::PollClock() {
 }
 
 Status EpochManager::SubmitWire(std::string_view batch) {
+  if (!started_ || closed_) {
+    return Status::FailedPrecondition(
+        "EpochManager: SubmitWire outside Start()..Close()");
+  }
+  // The open epoch's aggregator decodes (and meters) the batch; every
+  // epoch's aggregator serves the same config, so which one decodes is
+  // immaterial even when the batch closes the epoch partway through.
   std::vector<WireReport> reports;
-  LDPHH_RETURN_IF_ERROR(
-      DecodeReportBatchFor(batch, wire_id_, config_.protocol(), &reports));
+  LDPHH_RETURN_IF_ERROR(aggregator_->DecodeWire(batch, &reports));
+  aggregator_->CountWireBytes(batch.size());
   for (const WireReport& r : reports) {
     LDPHH_RETURN_IF_ERROR(Submit(r));
   }
@@ -184,10 +185,9 @@ Status EpochManager::CloseEpoch() {
     LDPHH_RETURN_IF_ERROR(merged->SerializeState(&blob));
   }
   {
-    // The epoch blob and the clock record commit as one batch: with the
-    // store's group-commit lane on they share a single append + sync
-    // (possibly with concurrent writers); off, Apply degrades to the two
-    // sequential durable Puts this used to issue.
+    // The epoch blob and the clock record commit as one batch: they share
+    // one append and one sync (with any concurrent writers too), and the
+    // close is acknowledged only once both are durable.
     const obs::Span::ChildScope put = span.Child("put");
     std::string clock_blob;
     PutU64(&clock_blob, current_epoch_ + 1);

@@ -138,7 +138,7 @@ class EpochManager {
   uint64_t reports_in_current_epoch() const { return reports_in_epoch_; }
 
  private:
-  EpochManager(ProtocolConfig config, uint16_t wire_id, CheckpointStore* store,
+  EpochManager(ProtocolConfig config, CheckpointStore* store,
                EpochManagerOptions options);
 
   Status RollAggregator();
@@ -146,7 +146,6 @@ class EpochManager {
   bool EpochTimeUp() const;
 
   ProtocolConfig config_;
-  uint16_t wire_id_ = 0;
   CheckpointStore* store_;
   EpochManagerOptions options_;
   std::unique_ptr<ShardedAggregator> aggregator_;

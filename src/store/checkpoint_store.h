@@ -23,6 +23,12 @@
 /// global sequence number; deleted keys vanish — then atomically installs
 /// a MANIFEST listing the new segment set and deletes the superseded files.
 ///
+/// One write path: Put, Delete and Apply all go through the group-commit
+/// lane (the leveldb writer-queue idiom). Writers queue their intents; the
+/// queue-front writer leads, appending the whole queue head as one write
+/// and syncing it once, then acknowledges every member. A lone writer is a
+/// group of one. docs/storage.md ("Group commit") has the protocol.
+///
 /// Crash-safety invariants (docs/storage.md derives them in full):
 ///   I1. The MANIFEST is only ever replaced atomically: written complete to
 ///       MANIFEST.tmp, synced, then rename(2)d over MANIFEST with the
@@ -96,21 +102,15 @@ struct CheckpointStoreOptions {
   /// File layer to write through; null = FileSystem::Default() (POSIX).
   /// Tests inject a FaultInjectingFileSystem to simulate power loss.
   FileSystem* file_system = nullptr;
-  /// Group commit (the leveldb writer-queue idiom): concurrent Put/Delete
-  /// callers enqueue their intents; the queue-front writer becomes the
-  /// *leader*, coalesces the queue into one log append + one sync, and
-  /// acknowledges the whole group — so N concurrent acknowledged-durable
-  /// writes cost ~1 fsync instead of N. Every writer still returns only
-  /// after its own record is durable per sync_mode, and a failed group
-  /// sync surfaces to every member. Off (default), each write appends and
-  /// syncs by itself — the original single-writer discipline, bit for bit.
-  bool group_commit = false;
-  /// A forming group stops absorbing queued writers past either bound (the
-  /// member that crosses a bound still commits whole; writers left behind
-  /// lead the next group).
-  size_t group_max_records = 128;
-  size_t group_max_bytes = 4 << 20;
 };
+
+/// Group-commit bounds (the leveldb writer-queue idiom, see
+/// CheckpointStore): a forming group stops absorbing queued writers once
+/// the next one would take it past either bound. The member that crosses a
+/// bound still commits whole — a single Apply batch is never split — and
+/// writers left behind lead the next group.
+inline constexpr size_t kGroupCommitMaxRecords = 128;
+inline constexpr size_t kGroupCommitMaxBytes = size_t{4} << 20;
 
 /// One write intent for CheckpointStore::Apply — a Put (key, blob) or a
 /// Delete (key). The referenced blob must outlive the Apply call.
@@ -134,10 +134,10 @@ struct CheckpointStoreStats {
                                       ///< discarded by Open.
   uint64_t manifest_sequence = 0;///< Install generation of the current
                                  ///< MANIFEST (what a replica tails).
-  uint64_t group_commits = 0;    ///< Groups committed (≈ write-path syncs
-                                 ///< issued) since Open, group_commit on.
-  uint64_t group_commit_writes = 0;  ///< Write intents acknowledged through
-                                     ///< the group-commit lane.
+  uint64_t group_commits = 0;    ///< Groups committed (= write-path syncs
+                                 ///< issued) since Open.
+  uint64_t group_commit_writes = 0;  ///< Write intents acknowledged since
+                                     ///< Open.
 };
 
 /// \brief The durable keyed blob store.
@@ -182,8 +182,8 @@ class CheckpointStore {
   CheckpointStore(const CheckpointStore&) = delete;
   CheckpointStore& operator=(const CheckpointStore&) = delete;
 
-  /// Stores \p blob under \p key (replacing any previous value); flushed to
-  /// the OS before returning. May seal the active segment.
+  /// Stores \p blob under \p key (replacing any previous value); durable
+  /// per sync_mode before returning. May seal the active segment.
   Status Put(uint64_t key, std::string_view blob);
 
   /// Removes \p key (a durable tombstone; compaction reclaims the space).
@@ -191,12 +191,10 @@ class CheckpointStore {
   Status Delete(uint64_t key);
 
   /// Applies every intent in \p writes, in order, and returns only after
-  /// all of them are durable per sync_mode. With group_commit on, the
-  /// whole batch rides the group-commit lane as one member — one append +
-  /// one sync for the batch, possibly shared with concurrent writers (the
-  /// epoch layer commits an epoch blob and its clock record this way).
-  /// With group_commit off it degrades to sequential Put/Delete semantics:
-  /// one append + one sync per intent, bit-for-bit the single-writer path.
+  /// all of them are durable per sync_mode. The whole batch is one member
+  /// of a group: one append + one sync for the batch, possibly shared with
+  /// concurrent writers (the epoch layer commits an epoch blob and its
+  /// clock record this way). All or nothing is acknowledged.
   Status Apply(const std::vector<StoreWrite>& writes);
 
   /// Fetches the blob stored under \p key; kOutOfRange if absent.
@@ -254,9 +252,6 @@ class CheckpointStore {
       REQUIRES(mu_);
   /// Seals the active segment and opens a fresh one. Caller holds mu_.
   Status RollActiveLocked() REQUIRES(mu_);
-  Status AppendRecordLocked(CheckpointRecordType type, uint64_t key,
-                            std::string_view blob, obs::Span& span)
-      REQUIRES(mu_);
   /// One writer parked in the group-commit queue: its intents, their
   /// pre-computed on-disk size, and the condition it sleeps on until the
   /// group leader reports the outcome.
@@ -271,6 +266,9 @@ class CheckpointStore {
     bool done = false;
   };
 
+  /// The one write path under Put/Delete/Apply: commits \p writes through
+  /// GroupWrite, latches write health, and counts the acknowledged intents.
+  Status Write(const StoreWrite* writes, size_t count, obs::Span& span);
   /// The group-commit lane: enqueues \p writes, then either waits for a
   /// leader to commit them (follower) or, on reaching the queue front,
   /// leads the commit itself. Returns the writer's durable outcome.
@@ -281,8 +279,7 @@ class CheckpointStore {
   /// applies the group in memory, and wakes every member.
   Status LeadGroupCommit(PendingWrite* self, obs::Span& span) REQUIRES(mu_);
   /// Wakes the background compactor if the sealed-segment trigger is met.
-  /// The group-commit paths call it after releasing mu_; the single-writer
-  /// paths fold the check into their existing critical section instead.
+  /// Write calls it after the group commit released mu_.
   void MaybeSignalCompaction();
 
   /// Latches \p status as the store's write health: an error makes
@@ -356,6 +353,9 @@ class CheckpointStore {
   CondVar work_cv_{&mu_};   ///< Wakes the background thread.
   CondVar idle_cv_{&mu_};   ///< Signals WaitForCompaction.
   bool compacting_ GUARDED_BY(mu_) = false;
+  /// Set with a work_cv_ signal when the compaction trigger is met; the
+  /// background thread's wait predicate (with stop_), consumed per wakeup.
+  bool compaction_wanted_ GUARDED_BY(mu_) = false;
   bool stop_ GUARDED_BY(mu_) = false;
   std::thread compactor_;
 

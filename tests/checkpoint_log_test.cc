@@ -15,6 +15,10 @@
 namespace ldphh {
 namespace {
 
+// Two arbitrary tags below kCustom: the log is type-agnostic.
+constexpr CheckpointRecordType kTagA = static_cast<CheckpointRecordType>(1);
+constexpr CheckpointRecordType kTagB = static_cast<CheckpointRecordType>(2);
+
 std::string TempLogPath(const std::string& name) {
   return testing::TempDir() + "/ldphh_" + name + "_" +
          std::to_string(::getpid()) + ".log";
@@ -36,7 +40,7 @@ TEST_F(CheckpointLogTest, SyncFailurePropagatesAndHeals) {
   FaultInjectingFileSystem fs;
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open("/fault/sync.ckpt", &fs).ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "m").ok());
+  ASSERT_TRUE(writer.Append(kTagA, "m").ok());
   fs.set_fail_file_syncs(true);
   const Status failed = writer.Sync();
   EXPECT_FALSE(failed.ok());
@@ -56,21 +60,17 @@ TEST_F(CheckpointLogTest, EncodeRecordMatchesAppendByteForByte) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(
-        writer.Append(CheckpointRecordType::kManifest, payloads[0]).ok());
-    ASSERT_TRUE(
-        writer.Append(CheckpointRecordType::kShardState, payloads[1]).ok());
+    ASSERT_TRUE(writer.Append(kTagA, payloads[0]).ok());
+    ASSERT_TRUE(writer.Append(kTagB, payloads[1]).ok());
     ASSERT_TRUE(writer.Append(CheckpointRecordType::kCustom, payloads[2]).ok());
     ASSERT_TRUE(writer.Close().ok());
   }
   {
     std::string batch;
-    ASSERT_TRUE(CheckpointWriter::EncodeRecord(CheckpointRecordType::kManifest,
-                                               payloads[0], &batch)
-                    .ok());
-    ASSERT_TRUE(CheckpointWriter::EncodeRecord(
-                    CheckpointRecordType::kShardState, payloads[1], &batch)
-                    .ok());
+    ASSERT_TRUE(
+        CheckpointWriter::EncodeRecord(kTagA, payloads[0], &batch).ok());
+    ASSERT_TRUE(
+        CheckpointWriter::EncodeRecord(kTagB, payloads[1], &batch).ok());
     ASSERT_TRUE(CheckpointWriter::EncodeRecord(CheckpointRecordType::kCustom,
                                                payloads[2], &batch)
                     .ok());
@@ -104,9 +104,7 @@ TEST_F(CheckpointLogTest, AppendEncodedSyncFailurePropagatesAndHeals) {
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open("/fault/batch.ckpt", &fs).ok());
   std::string batch;
-  ASSERT_TRUE(CheckpointWriter::EncodeRecord(CheckpointRecordType::kManifest,
-                                             "grouped", &batch)
-                  .ok());
+  ASSERT_TRUE(CheckpointWriter::EncodeRecord(kTagA, "grouped", &batch).ok());
   ASSERT_TRUE(writer.AppendEncoded(batch, 1).ok());
   fs.set_fail_file_syncs(true);
   EXPECT_FALSE(writer.Sync().ok());  // The batch is NOT durable.
@@ -125,8 +123,8 @@ TEST_F(CheckpointLogTest, RoundTripsRecords) {
   path_ = TempLogPath("roundtrip");
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open(path_).ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "manifest").ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kShardState, "").ok());
+  ASSERT_TRUE(writer.Append(kTagA, "manifest").ok());
+  ASSERT_TRUE(writer.Append(kTagB, "").ok());
   std::string big(100000, 'x');
   big[5] = '\0';  // Binary-safe.
   ASSERT_TRUE(writer.Append(CheckpointRecordType::kCustom, big).ok());
@@ -137,10 +135,10 @@ TEST_F(CheckpointLogTest, RoundTripsRecords) {
   CheckpointRecordType type;
   std::string payload;
   ASSERT_TRUE(reader.Read(&type, &payload).ok());
-  EXPECT_EQ(type, CheckpointRecordType::kManifest);
+  EXPECT_EQ(type, kTagA);
   EXPECT_EQ(payload, "manifest");
   ASSERT_TRUE(reader.Read(&type, &payload).ok());
-  EXPECT_EQ(type, CheckpointRecordType::kShardState);
+  EXPECT_EQ(type, kTagB);
   EXPECT_TRUE(payload.empty());
   ASSERT_TRUE(reader.Read(&type, &payload).ok());
   EXPECT_EQ(type, CheckpointRecordType::kCustom);
@@ -153,12 +151,12 @@ TEST_F(CheckpointLogTest, ReopenAppends) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "one").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "one").ok());
   }
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "two").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "two").ok());
   }
   CheckpointReader reader;
   ASSERT_TRUE(reader.Open(path_).ok());
@@ -175,9 +173,8 @@ TEST_F(CheckpointLogTest, TruncatedTailReadsAsEndOfLog) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "full").ok());
-    ASSERT_TRUE(
-        writer.Append(CheckpointRecordType::kShardState, "will be torn").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "full").ok());
+    ASSERT_TRUE(writer.Append(kTagB, "will be torn").ok());
   }
   // Simulate a crash mid-append: chop bytes off the end. Every truncation
   // point must still yield the first record and then a clean end-of-log.
@@ -207,7 +204,7 @@ TEST_F(CheckpointLogTest, CorruptRecordFailsWithDecodeFailure) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "payload").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "payload").ok());
   }
   std::ifstream in(path_, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -235,7 +232,7 @@ TEST_F(CheckpointLogTest, HugeCorruptLengthReadsAsEndOfLogWithoutAllocating) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "ok").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "ok").ok());
     ASSERT_TRUE(writer.Append(CheckpointRecordType::kCustom, "victim").ok());
   }
   // Corrupt the second record's length field (bytes 4..7 of its header) to
@@ -278,10 +275,9 @@ TEST_F(CheckpointLogTest, SyncedRecordSurvivesPowerLossWithTornUnsyncedTail) {
     {
       CheckpointWriter writer;
       ASSERT_TRUE(writer.Open(path, &fs, SyncMode::kFull).ok());
-      ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "acked").ok());
+      ASSERT_TRUE(writer.Append(kTagA, "acked").ok());
       ASSERT_TRUE(writer.Sync().ok());  // Acknowledged: durable from here.
-      ASSERT_TRUE(
-          writer.Append(CheckpointRecordType::kShardState, in_flight).ok());
+      ASSERT_TRUE(writer.Append(kTagB, in_flight).ok());
       ASSERT_TRUE(writer.Flush().ok());  // To the OS — NOT durable.
     }
     EXPECT_GE(fs.file_sync_count(), 1u) << "keep " << keep;
@@ -313,7 +309,7 @@ TEST_F(CheckpointLogTest, SyncModeNoneNeverSyncs) {
   FaultInjectingFileSystem fs;
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open("/faultfs/nosync.log", &fs, SyncMode::kNone).ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "x").ok());
+  ASSERT_TRUE(writer.Append(kTagA, "x").ok());
   ASSERT_TRUE(writer.Sync().ok());
   ASSERT_TRUE(writer.Close().ok());
   EXPECT_EQ(fs.file_sync_count(), 0u);

@@ -8,14 +8,19 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/fault_fs.h"
+#include "src/common/mutex.h"
 
 namespace fs = std::filesystem;
 
@@ -317,6 +322,203 @@ TEST_F(CheckpointStoreTest, SegmentsWithoutManifestRefused) {
   auto store_or = CheckpointStore::Open(dir_, SmallSegments());
   EXPECT_FALSE(store_or.ok());
   EXPECT_EQ(store_or.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// A fault filesystem whose first file creation off the constructing
+// thread — the background compactor creating its consolidated segment —
+// parks until released, then fails.
+class ParkedCompactionFs : public FaultInjectingFileSystem {
+ public:
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    if (std::this_thread::get_id() == owner_) {
+      return FaultInjectingFileSystem::NewWritableFile(path);
+    }
+    MutexLock lk(&park_mu_);
+    if (parked_) return FaultInjectingFileSystem::NewWritableFile(path);
+    parked_ = true;
+    park_cv_.SignalAll();
+    while (!released_) park_cv_.Wait();
+    return Status::Internal("injected: compaction output create failed");
+  }
+
+  void WaitUntilParked() {
+    MutexLock lk(&park_mu_);
+    while (!parked_) park_cv_.Wait();
+  }
+
+  void Release() {
+    MutexLock lk(&park_mu_);
+    released_ = true;
+    park_cv_.SignalAll();
+  }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();
+  Mutex park_mu_;
+  CondVar park_cv_{&park_mu_};
+  bool parked_ GUARDED_BY(park_mu_) = false;
+  bool released_ GUARDED_BY(park_mu_) = false;
+};
+
+// Shutdown race in the background compactor: the destructor sets stop_ and
+// signals while a compaction pass runs unlocked; the pass then fails. The
+// compactor must see stop_ instead of parking for a wakeup that already
+// came and went — otherwise the destructor's join never returns (the test
+// then hangs until the ctest timeout).
+TEST_F(CheckpointStoreTest, DestructorStopsCompactorAfterFailedPass) {
+  ParkedCompactionFs ffs;
+  CheckpointStoreOptions o = SmallSegments(64);  // Every Put seals.
+  o.file_system = &ffs;
+  o.background_compaction = true;
+  o.compaction_trigger = 2;
+  auto store = MustOpen(o);
+  ASSERT_TRUE(store->Put(1, Blob(1)).ok());
+  ASSERT_TRUE(store->Put(2, Blob(2)).ok());  // Two sealed: trigger met.
+  ffs.WaitUntilParked();
+
+  std::thread destroyer([&] { store.reset(); });
+  // Let the destructor set stop_ and signal while the pass is parked. The
+  // pause only orders the two: a destructor slower than it would make the
+  // test pass without exercising the race, never fail spuriously.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ffs.Release();
+  destroyer.join();
+  EXPECT_EQ(store, nullptr);
+}
+
+// --------------------------------------------------------- on-disk format --
+
+// A store directory as an earlier build wrote it — every intent appended
+// and synced record by record, the active segment sealed once past 160
+// bytes — for GoldenScript below, byte for byte.
+struct GoldenFile {
+  const char* name;
+  std::string bytes;
+};
+
+const std::vector<GoldenFile>& GoldenStoreFiles() {
+  static const std::vector<GoldenFile> files = {
+      {"000001.seg", std::string(
+          "\xb8\x57\xb2\x81\x15\x00\x00\x00\x80\x01\x00\x00\x00\x00\x00\x00"
+          "\x00\x01\x00\x00\x00\x00\x00\x00\x00\x61\x6c\x70\x68\x61\x97\x0f"
+          "\x36\xb8\x1b\x00\x00\x00\x80\x02\x00\x00\x00\x00\x00\x00\x00\x02"
+          "\x00\x00\x00\x00\x00\x00\x00\x62\x72\x61\x76\x6f\x2d\x62\x72\x61"
+          "\x76\x6f\x30\x6f\xa3\x2b\x38\x00\x00\x00\x80\x03\x00\x00\x00\x00"
+          "\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x63\x63\x63\x63\x63"
+          "\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63"
+          "\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63\x63"
+          "\x63\x63\x63\xa5\x64\xd5\xce\x10\x00\x00\x00\x81\x02\x00\x00\x00"
+          "\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x49\xf5\xd3\xf3"
+          "\x15\x00\x00\x00\x80\x04\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00"
+          "\x00\x00\x00\x00\x00\x64\x65\x6c\x74\x61",
+          186)},
+      {"000002.seg", std::string(
+          "\xa4\x65\xac\xbb\x10\x00\x00\x00\x81\x01\x00\x00\x00\x00\x00\x00"
+          "\x00\x06\x00\x00\x00\x00\x00\x00\x00\x1e\x7b\x83\x02\x19\x00\x00"
+          "\x00\x80\x03\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00"
+          "\x00\x00\x63\x68\x61\x72\x6c\x69\x65\x2d\x32\x01\x01\xeb\x3e\x18"
+          "\x00\x00\x00\x80\xff\xff\xff\xff\xff\xff\xff\xff\x08\x00\x00\x00"
+          "\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x21\x0b\x0e\xca"
+          "\x10\x00\x00\x00\x81\x63\x00\x00\x00\x00\x00\x00\x00\x09\x00\x00"
+          "\x00\x00\x00\x00\x00\xc5\xb5\x9f\x4a\x14\x00\x00\x00\x80\x05\x00"
+          "\x00\x00\x00\x00\x00\x00\x0a\x00\x00\x00\x00\x00\x00\x00\x65\x63"
+          "\x68\x6f",
+          146)},
+      {"MANIFEST", std::string(
+          "\x70\x39\x19\x36\x36\x00\x00\x00\x82\x02\x00\x02\x00\x00\x00\x00"
+          "\x00\x00\x00\xc6\xbe\x7c\xd7\xc1\x94\x24\xd2\x03\x00\x00\x00\x00"
+          "\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x01"
+          "\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00",
+          63)},
+  };
+  return files;
+}
+
+// An epoch-clock-shaped record under the reserved top key.
+const std::string kGoldenClock("\x07\0\0\0\0\0\0\0", 8);
+
+void GoldenScript(CheckpointStore* store) {
+  ASSERT_TRUE(store->Put(1, "alpha").ok());
+  ASSERT_TRUE(store->Put(2, "bravo-bravo").ok());
+  ASSERT_TRUE(store->Put(3, std::string(40, 'c')).ok());
+  ASSERT_TRUE(store->Delete(2).ok());
+  std::vector<StoreWrite> batch(2);
+  batch[0].key = 4;
+  batch[0].blob = "delta";
+  batch[1].is_delete = true;
+  batch[1].key = 1;
+  ASSERT_TRUE(store->Apply(batch).ok());
+  ASSERT_TRUE(store->Put(3, "charlie-2").ok());
+  ASSERT_TRUE(store->Put(UINT64_MAX, kGoldenClock).ok());
+  ASSERT_TRUE(store->Delete(99).ok());  // Absent: still a tombstone record.
+  ASSERT_TRUE(store->Put(5, "echo").ok());
+}
+
+const std::map<uint64_t, std::string>& GoldenContents() {
+  static const std::map<uint64_t, std::string> contents = {
+      {3, "charlie-2"},
+      {4, "delta"},
+      {5, "echo"},
+      {UINT64_MAX, kGoldenClock},
+  };
+  return contents;
+}
+
+// The segment files of \p dir concatenated in segment order: the record
+// stream, independent of where the rolls fell.
+std::string RecordStream(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".seg") names.push_back(e.path().filename());
+  }
+  std::sort(names.begin(), names.end());
+  std::string stream;
+  for (const std::string& name : names) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    stream.append(std::istreambuf_iterator<char>(in), {});
+  }
+  return stream;
+}
+
+// The on-disk format is unchanged: a directory the earlier build wrote
+// recovers to exactly the script's contents.
+TEST_F(CheckpointStoreTest, RecoversDirectoryWrittenByEarlierBuild) {
+  fs::create_directories(dir_);
+  for (const GoldenFile& f : GoldenStoreFiles()) {
+    std::ofstream(dir_ + "/" + f.name, std::ios::binary) << f.bytes;
+  }
+  auto store = MustOpen(SmallSegments(160));
+  EXPECT_EQ(store->Stats().recovered_records, 10u);
+  std::vector<uint64_t> want_keys;
+  for (const auto& [key, blob] : GoldenContents()) want_keys.push_back(key);
+  ASSERT_EQ(store->Keys(), want_keys);
+  for (const auto& [key, blob] : GoldenContents()) {
+    std::string got;
+    ASSERT_TRUE(store->Get(key, &got).ok()) << "key " << key;
+    EXPECT_EQ(got, blob) << "key " << key;
+  }
+}
+
+// ...and the same script appends the same record bytes, sequence numbers
+// included, in the same order. Only a roll moved: the earlier build sealed
+// the segment between the Apply batch's two intents, while the batch is
+// now one group and the roll follows it — so compare the record stream,
+// and pin the new boundary.
+TEST_F(CheckpointStoreTest, WritesTheRecordBytesOfEarlierBuild) {
+  {
+    auto store = MustOpen(SmallSegments(160));
+    GoldenScript(store.get());
+  }
+  std::string golden_stream;
+  for (const GoldenFile& f : GoldenStoreFiles()) {
+    if (fs::path(f.name).extension() == ".seg") golden_stream += f.bytes;
+  }
+  EXPECT_EQ(RecordStream(dir_), golden_stream);
+  // The first segment now ends after the batch's tombstone record (16-byte
+  // payload + 9-byte header), not before it.
+  EXPECT_EQ(fs::file_size(dir_ + "/000001.seg"),
+            GoldenStoreFiles()[0].bytes.size() + 25);
 }
 
 // The three compaction crash points. After each simulated kill the next

@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fault_fs.h"
 #include "src/common/random.h"
+#include "src/obs/health.h"
 #include "src/protocols/registry.h"
 #include "tests/serving_test_util.h"
 
@@ -318,6 +320,57 @@ TEST_F(EpochManagerTest, PollClockRollsQuietEpochs) {
   auto window = std::move(window_or).value();
   auto want = DirectAggregate(config, reports, 0, 5);
   ExpectSameEstimates(*window, *want);
+  ASSERT_TRUE(mgr->Close().ok());
+}
+
+// A failed fsync fails CloseEpoch — an epoch is acknowledged closed only
+// once its blob is durable — and trips the store's write health. The
+// recovery is the documented one: restart the manager on the store, replay
+// the open epoch's reports, and the next durable close heals the latch.
+TEST_F(EpochManagerTest, FailedSyncFailsCloseEpochAndTripsWriteHealth) {
+  const ProtocolConfig config = OlhConfig(/*domain=*/64, /*eps=*/1.0,
+                                          /*seed=*/7);
+  const auto reports = EncodeReports(config, 256, 11);
+  FaultInjectingFileSystem ffs;
+  CheckpointStoreOptions o;
+  o.background_compaction = false;
+  o.file_system = &ffs;
+  const std::string dir = "/faultfs/epoch-sync";
+  auto store_or = CheckpointStore::Open(dir, o);
+  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+  auto store = std::move(store_or).value();
+  const auto store_health = [&]() -> Status {
+    for (const auto& check : obs::HealthRegistry::Global().RunChecks()) {
+      if (check.name == "store:" + dir) return check.status;
+    }
+    return Status::Internal("no health check for store:" + dir);
+  };
+
+  EpochManagerOptions opts;
+  opts.reports_per_epoch = 1 << 20;  // Only explicit closes.
+  opts.aggregator.num_shards = 2;
+  {
+    auto mgr = OpenManager(config, store.get(), opts);
+    ASSERT_TRUE(mgr->Start().ok());
+    for (const WireReport& r : reports) ASSERT_TRUE(mgr->Submit(r).ok());
+    ffs.set_fail_file_syncs(true);
+    EXPECT_FALSE(mgr->CloseEpoch().ok());
+    EXPECT_FALSE(store_health().ok());
+    EXPECT_TRUE(mgr->PersistedEpochs().empty());
+  }
+
+  ffs.set_fail_file_syncs(false);
+  auto mgr = OpenManager(config, store.get(), opts);
+  ASSERT_TRUE(mgr->Start().ok());
+  EXPECT_EQ(mgr->current_epoch(), 0u);
+  for (const WireReport& r : reports) ASSERT_TRUE(mgr->Submit(r).ok());
+  ASSERT_TRUE(mgr->CloseEpoch().ok());
+  EXPECT_TRUE(store_health().ok()) << store_health().ToString();
+  auto got_or = mgr->WindowedQuery(0, 0);
+  ASSERT_TRUE(got_or.ok()) << got_or.status().ToString();
+  auto got = std::move(got_or).value();
+  ExpectSameEstimates(*got, *DirectAggregate(config, reports, 0,
+                                             reports.size()));
   ASSERT_TRUE(mgr->Close().ok());
 }
 

@@ -1,9 +1,10 @@
 // The group-commit lane of CheckpointStore (the leveldb writer-queue
-// idiom): deterministic sync-coalescing contract (one fsync for a whole
-// batch), failed-group semantics (one bad sync fails every member, trips
-// the write-health latch so /healthz goes 503, heals on the next good
-// group), crash-abort semantics, single-writer equivalence with the lane
-// off, and a multi-writer hammer the TSan CI job runs against the
+// idiom), the store's one write path: deterministic sync-coalescing
+// contract (one fsync for a whole batch), group bounds that never split a
+// batch, failed-group semantics (one bad sync fails every member, trips the
+// write-health latch so /healthz goes 503, heals on the next good group),
+// crash-abort semantics, single-writer equivalence with a reference model,
+// and a multi-writer hammer the TSan CI job runs against the
 // leader/follower handoff.
 
 #include <gtest/gtest.h>
@@ -36,14 +37,12 @@ std::string Blob(uint64_t key, size_t size = 48) {
 }
 
 CheckpointStoreOptions GroupOptions(FaultInjectingFileSystem* fs,
-                                    bool group_commit = true,
                                     size_t segment_max_bytes = 1 << 20) {
   CheckpointStoreOptions o;
   o.segment_max_bytes = segment_max_bytes;
   o.background_compaction = false;
   o.sync_mode = SyncMode::kFull;
   o.file_system = fs;
-  o.group_commit = group_commit;
   return o;
 }
 
@@ -87,9 +86,9 @@ int StatusCodeOf(const std::string& response) {
   return std::atoi(response.substr(9, 3).c_str());
 }
 
-// The heart of the perf claim, pinned deterministically: a multi-intent
-// batch through the lane costs exactly ONE file sync under kFull, where the
-// sequential fallback pays one per intent — and both land the same state.
+// The heart of the perf claim, pinned deterministically: a single writer's
+// multi-intent Apply costs exactly ONE file sync under kFull, where the same
+// intents as sequential Puts pay one each — and both land the same state.
 TEST(GroupCommit, BatchCostsOneSyncWhereSequentialPaysPerIntent) {
   std::vector<StoreWrite> writes(5);
   std::vector<std::string> blobs;
@@ -114,55 +113,61 @@ TEST(GroupCommit, BatchCostsOneSyncWhereSequentialPaysPerIntent) {
 
   FaultInjectingFileSystem sequential_fs;
   {
-    auto store = MustOpen("/faultfs/sequential",
-                          GroupOptions(&sequential_fs, /*group_commit=*/false));
+    auto store = MustOpen("/faultfs/sequential", GroupOptions(&sequential_fs));
     const uint64_t before = sequential_fs.file_sync_count();
-    ASSERT_TRUE(store->Apply(writes).ok());
+    for (const StoreWrite& w : writes) {
+      ASSERT_TRUE(store->Put(w.key, w.blob).ok());
+    }
     EXPECT_EQ(sequential_fs.file_sync_count() - before, writes.size());
     const CheckpointStoreStats stats = store->Stats();
-    EXPECT_EQ(stats.group_commits, 0u);  // The lane never ran.
-    EXPECT_EQ(stats.group_commit_writes, 0u);
+    EXPECT_EQ(stats.group_commits, writes.size());  // Groups of one.
+    EXPECT_EQ(stats.group_commit_writes, writes.size());
     EXPECT_EQ(stats.entries, writes.size());
   }
 }
 
-// A batch bigger than group_max_records still commits whole — the bounds
-// stop a group from absorbing MORE writers, they never split one member.
+// A batch past either group bound still commits whole — the bounds stop a
+// group from absorbing MORE writers, they never split one member: one
+// group, one sync.
 TEST(GroupCommit, OversizedBatchCommitsWhole) {
-  FaultInjectingFileSystem fs;
-  CheckpointStoreOptions o = GroupOptions(&fs);
-  o.group_max_records = 4;
-  auto store = MustOpen(kDir, o);
-  std::vector<std::string> blobs;
-  std::vector<StoreWrite> writes(10);
-  blobs.reserve(writes.size());
-  for (size_t i = 0; i < writes.size(); ++i) {
-    blobs.push_back(Blob(i));
-    writes[i].key = i;
-    writes[i].blob = blobs[i];
+  struct Case {
+    const char* name;
+    size_t intents;
+    size_t blob_size;
+  };
+  const Case cases[] = {
+      {"records", kGroupCommitMaxRecords + 5, 48},
+      {"bytes", 3, kGroupCommitMaxBytes / 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FaultInjectingFileSystem fs;
+    auto store = MustOpen(kDir, GroupOptions(&fs, kGroupCommitMaxBytes * 2));
+    std::vector<std::string> blobs;
+    std::vector<StoreWrite> writes(c.intents);
+    blobs.reserve(writes.size());
+    for (size_t i = 0; i < writes.size(); ++i) {
+      blobs.push_back(Blob(i, c.blob_size));
+      writes[i].key = i;
+      writes[i].blob = blobs[i];
+    }
+    const uint64_t syncs = fs.file_sync_count();
+    ASSERT_TRUE(store->Apply(writes).ok());
+    EXPECT_EQ(fs.file_sync_count() - syncs, 1u);
+    const CheckpointStoreStats stats = store->Stats();
+    EXPECT_EQ(stats.group_commits, 1u);
+    EXPECT_EQ(stats.group_commit_writes, writes.size());
+    EXPECT_EQ(store->Keys().size(), writes.size());
   }
-  ASSERT_TRUE(store->Apply(writes).ok());
-  const CheckpointStoreStats stats = store->Stats();
-  EXPECT_EQ(stats.group_commits, 1u);
-  EXPECT_EQ(stats.group_commit_writes, writes.size());
-  EXPECT_EQ(store->Keys().size(), writes.size());
 }
 
-// With a single writer, the lane-on store must land on exactly the state
-// the lane-off store lands on for the same script (groups of one, same
-// records, same recovered contents after a power loss).
+// A single writer's groups of one must land exactly on the state a
+// reference map built from the same script holds — before and after a
+// power loss, across segment rolls.
 TEST(GroupCommit, SingleWriterMatchesLaneOffStateExactly) {
-  const auto script = [](CheckpointStore* store) {
-    for (uint64_t k = 0; k < 60; ++k) {
-      ASSERT_TRUE(store->Put(k, Blob(k)).ok());
-    }
-    for (uint64_t k = 0; k < 60; k += 3) {
-      ASSERT_TRUE(store->Delete(k).ok());
-    }
-    for (uint64_t k = 1; k < 60; k += 6) {
-      ASSERT_TRUE(store->Put(k, Blob(k + 77)).ok());
-    }
-  };
+  std::map<uint64_t, std::string> model;
+  FaultInjectingFileSystem fs;
+  const auto options = GroupOptions(&fs, size_t{1} << 11);
   const auto state_of = [](CheckpointStore* store) {
     std::map<uint64_t, std::string> state;
     for (uint64_t key : store->Keys()) {
@@ -172,34 +177,27 @@ TEST(GroupCommit, SingleWriterMatchesLaneOffStateExactly) {
     }
     return state;
   };
-
-  std::map<uint64_t, std::string> on_state, off_state;
   {
-    FaultInjectingFileSystem fs;
-    {
-      auto store =
-          MustOpen("/faultfs/on", GroupOptions(&fs, true, size_t{1} << 11));
-      script(store.get());
+    auto store = MustOpen("/faultfs/single", options);
+    for (uint64_t k = 0; k < 60; ++k) {
+      ASSERT_TRUE(store->Put(k, Blob(k)).ok());
+      model[k] = Blob(k);
     }
-    fs.SimulatePowerLoss();
-    auto recovered =
-        MustOpen("/faultfs/on", GroupOptions(&fs, true, size_t{1} << 11));
-    on_state = state_of(recovered.get());
-  }
-  {
-    FaultInjectingFileSystem fs;
-    {
-      auto store =
-          MustOpen("/faultfs/off", GroupOptions(&fs, false, size_t{1} << 11));
-      script(store.get());
+    for (uint64_t k = 0; k < 60; k += 3) {
+      ASSERT_TRUE(store->Delete(k).ok());
+      model.erase(k);
     }
-    fs.SimulatePowerLoss();
-    auto recovered =
-        MustOpen("/faultfs/off", GroupOptions(&fs, false, size_t{1} << 11));
-    off_state = state_of(recovered.get());
+    for (uint64_t k = 1; k < 60; k += 6) {
+      ASSERT_TRUE(store->Put(k, Blob(k + 77)).ok());
+      model[k] = Blob(k + 77);
+    }
+    EXPECT_EQ(state_of(store.get()), model);
+    EXPECT_GT(store->Stats().sealed_segments, 0u);  // The script rolled.
   }
-  EXPECT_EQ(on_state, off_state);
-  EXPECT_FALSE(on_state.empty());
+  fs.SimulatePowerLoss();
+  auto recovered = MustOpen("/faultfs/single", options);
+  EXPECT_EQ(state_of(recovered.get()), model);
+  EXPECT_FALSE(model.empty());
 }
 
 // One failed group sync surfaces an error Status to EVERY writer parked in
@@ -306,16 +304,18 @@ TEST(GroupCommit, CrashPointAbortsAllQueuedWritersUntilReopen) {
 
 // Multi-writer hammer across segment rolls and group bounds (the TSan CI
 // target): disjoint per-thread key ranges hammered through Put/Delete/
-// Apply, with every intent accounted for in the lane counters and the
-// whole state surviving a power loss.
+// Apply — the Apply batches each just over half kGroupCommitMaxRecords, so
+// any two queued together cross the bound — with every intent accounted
+// for in the lane counters and the whole state surviving a power loss.
 TEST(GroupCommit, HammerNothingLostAndEveryIntentCounted) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 150;
   constexpr uint64_t kRange = 1000;
 
+  constexpr size_t kBatch = kGroupCommitMaxRecords / 2 + 1;
+
   FaultInjectingFileSystem fs;
-  CheckpointStoreOptions o = GroupOptions(&fs, true, size_t{1} << 12);
-  o.group_max_records = 8;
+  const CheckpointStoreOptions o = GroupOptions(&fs, size_t{1} << 12);
   auto store = MustOpen(kDir, o);
 
   std::vector<std::map<uint64_t, std::string>> models(kThreads);
@@ -334,17 +334,18 @@ TEST(GroupCommit, HammerNothingLostAndEveryIntentCounted) {
             model.erase(key);
             intents.fetch_add(1, std::memory_order_relaxed);
           } else if (i % 7 == 5) {
-            const std::string first = Blob(key + 7000);
-            const std::string second = Blob(key + 9000);
-            std::vector<StoreWrite> batch(2);
-            batch[0].key = key;
-            batch[0].blob = first;
-            batch[1].key = key + 500;
-            batch[1].blob = second;
+            // Keys base+37.. stay clear of the single-op keys base+0..36.
+            std::vector<std::string> blobs;
+            std::vector<StoreWrite> batch(kBatch);
+            blobs.reserve(kBatch);
+            for (size_t j = 0; j < kBatch; ++j) {
+              blobs.push_back(Blob(base + 37 + j + i));
+              batch[j].key = base + 37 + j;
+              batch[j].blob = blobs[j];
+            }
             ASSERT_TRUE(store->Apply(batch).ok());
-            model[key] = first;
-            model[key + 500] = second;
-            intents.fetch_add(2, std::memory_order_relaxed);
+            for (size_t j = 0; j < kBatch; ++j) model[base + 37 + j] = blobs[j];
+            intents.fetch_add(kBatch, std::memory_order_relaxed);
           } else {
             ASSERT_TRUE(store->Put(key, Blob(key + i)).ok());
             model[key] = Blob(key + i);

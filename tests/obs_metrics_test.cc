@@ -22,8 +22,9 @@
 #include "src/ldp/privacy_loss.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/trace.h"
-#include "src/server/checkpoint_log.h"
+#include "src/protocols/registry.h"
 #include "src/server/epoch_manager.h"
+#include "src/server/report_codec.h"
 #include "src/server/sharded_aggregator.h"
 #include "src/store/checkpoint_store.h"
 #include "src/store/replica_store.h"
@@ -365,26 +366,13 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   const std::vector<WireReport> reports =
       testutil::EncodeSkewedReports(config, 2048, 11, 64);
 
-  // Ingest + checkpoint log: write a checkpoint, restore it elsewhere.
-  const std::string ckpt = "/tmp/ldphh_obs_test.ckpt";
-  std::remove(ckpt.c_str());
+  // Ingest.
   ShardedAggregatorOptions agg_opts;
   agg_opts.num_shards = 2;
   auto service = std::move(ShardedAggregator::Create(config, agg_opts)).value();
   ASSERT_TRUE(service->Start().ok());
   for (const WireReport& r : reports) ASSERT_TRUE(service->Submit(r).ok());
   ASSERT_TRUE(service->Drain().ok());
-  {
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(ckpt).ok());
-    ASSERT_TRUE(service->WriteCheckpoint(log).ok());
-  }
-  auto restored = std::move(ShardedAggregator::Create(config, agg_opts)).value();
-  {
-    CheckpointReader log;
-    ASSERT_TRUE(log.Open(ckpt).ok());
-    ASSERT_TRUE(restored->RestoreCheckpoint(log).ok());
-  }
 
   // Store + epochs + replica.
   const std::string dir = "/tmp/ldphh_obs_test_store";
@@ -407,10 +395,7 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   for (const char* required : {
            // Ingest.
            "ldphh_ingest_submitted_reports_total",
-           "ldphh_ingest_restored_reports_total",
            "ldphh_ingest_batch_aggregate_duration_ns",
-           "ldphh_ingest_checkpoint_write_duration_ns",
-           "ldphh_ingest_checkpoint_restore_duration_ns",
            "ldphh_ingest_queue_depth{shard=\"0\"}",
            // Checkpoint log (the fsync histogram).
            "ldphh_log_appends_total",
@@ -446,7 +431,67 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   replica.reset();
   store.reset();
   fs::remove_all(dir);
-  std::remove(ckpt.c_str());
+}
+
+// The value of one sample line ("<sample> <value>") in DumpText, 0 if the
+// sample is absent.
+double SampleValue(const std::string& sample) {
+  const std::string text = MetricsRegistry::Global().DumpText();
+  const std::string key = "\n" + sample + " ";
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return 0;
+  return std::strtod(text.c_str() + at + key.size(), nullptr);
+}
+
+// Served traffic goes through EpochManager::SubmitWire (the network sink),
+// and it decodes through the same instrumented helper as
+// ShardedAggregator::SubmitWire: the decode histogram, the accepted-bytes
+// counter and the rejected-batch counter all move on this path too.
+TEST(Exposition, EpochManagerSubmitWireMetersTheDecode) {
+  const ProtocolConfig config =
+      testutil::OracleConfig("hadamard_response", 64, 0.5);
+  const std::vector<WireReport> reports =
+      testutil::EncodeSkewedReports(config, 600, 12, 64);
+  const std::string dir = "/tmp/ldphh_obs_test_wire_store";
+  fs::remove_all(dir);
+  CheckpointStoreOptions store_opts;
+  store_opts.background_compaction = false;
+  auto store = std::move(CheckpointStore::Open(dir, store_opts)).value();
+  EpochManagerOptions epoch_opts;
+  epoch_opts.reports_per_epoch = 256;  // The batch closes epochs mid-way.
+  epoch_opts.aggregator.num_shards = 2;
+  auto manager =
+      std::move(EpochManager::Create(config, store.get(), epoch_opts)).value();
+  ASSERT_TRUE(manager->Start().ok());
+  const uint16_t wire_id =
+      ProtocolRegistry::Global().WireIdOf(config.protocol()).value();
+  const std::string batch = EncodeReportBatch(reports, wire_id);
+
+  const double decodes = SampleValue("ldphh_ingest_wire_decode_duration_ns_count");
+  const double bytes = SampleValue("ldphh_ingest_wire_bytes_total");
+  const double rejected =
+      SampleValue("ldphh_ingest_wire_rejected_batches_total");
+  ASSERT_TRUE(manager->SubmitWire(batch).ok());
+  EXPECT_EQ(SampleValue("ldphh_ingest_wire_decode_duration_ns_count"),
+            decodes + 1);
+  EXPECT_EQ(SampleValue("ldphh_ingest_wire_bytes_total"),
+            bytes + static_cast<double>(batch.size()));
+  EXPECT_EQ(manager->current_epoch(), 2u);
+
+  std::string corrupt = batch;
+  corrupt[corrupt.size() - 1] ^= 0x1;
+  EXPECT_FALSE(manager->SubmitWire(corrupt).ok());
+  EXPECT_EQ(SampleValue("ldphh_ingest_wire_decode_duration_ns_count"),
+            decodes + 2);
+  EXPECT_EQ(SampleValue("ldphh_ingest_wire_rejected_batches_total"),
+            rejected + 1);
+  EXPECT_EQ(SampleValue("ldphh_ingest_wire_bytes_total"),
+            bytes + static_cast<double>(batch.size()));
+
+  ASSERT_TRUE(manager->Close().ok());
+  manager.reset();
+  store.reset();
+  fs::remove_all(dir);
 }
 
 }  // namespace
